@@ -152,18 +152,24 @@ func (o *Operator[T]) AwaitConversion() ConversionState {
 	return o.ConversionState()
 }
 
-// validForHint returns the cache-entry validation predicate for a tuning
-// request. With an iteration hint, a non-CSR entry must carry the leader's
-// amortisation measurements — otherwise the break-even point cannot be
-// computed and the entry is treated as stale and re-tuned. This is how
-// cached decisions are validated against the iteration hint while staying
-// keyed purely by the structural fingerprint.
-func validForHint(opts TuneOptions) func(CacheEntry) bool {
-	if opts.Iterations <= 0 {
-		return nil
-	}
+// validEntry returns the cache-entry validation predicate for a tuning
+// request. An entry must have been measured at this tuner's thread count:
+// the leader's payoff rates, batch crossover and (for a fallback winner)
+// format ranking were taken on its own kernel instances, so a tuner with
+// another thread count re-tunes instead of inheriting them. Entries that
+// record no thread count (put by hand) are accepted at any. With an
+// iteration hint, a non-CSR entry must also carry the leader's amortisation
+// measurements — otherwise the break-even point cannot be computed and the
+// entry is treated as stale and re-tuned. This is how cached decisions are
+// validated against the tuner and the hint while staying keyed purely by
+// the structural fingerprint.
+func (t *Tuner[T]) validEntry(opts TuneOptions) func(CacheEntry) bool {
+	threads, hinted := t.threads, opts.Iterations > 0
 	return func(e CacheEntry) bool {
-		return e.Format == matrix.FormatCSR ||
+		if e.Threads != 0 && e.Threads != threads {
+			return false
+		}
+		return !hinted || e.Format == matrix.FormatCSR ||
 			(e.ConvertSec > 0 && e.SpMVSec > 0 && e.IncumbentSec > 0)
 	}
 }

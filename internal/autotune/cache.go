@@ -25,10 +25,19 @@ const cacheShards = 64
 // low-confidence predicted entry can later be refreshed by a tuner that is
 // willing to measure.
 type CacheEntry struct {
-	Format     matrix.Format
+	Format matrix.Format
+	// Kernel names the algorithm — the model's kernel for Format — not the
+	// leader's instance of it: a hit binds the instance for the applying
+	// tuner's thread count.
 	Kernel     string
 	Confidence float64
 	Measured   bool
+	// Threads is the leader's thread count. Every measurement below, and a
+	// fallback winner's format ranking, was taken on that thread count's
+	// kernel instances, so a tuner with another thread count treats the
+	// entry as a miss and re-tunes (replacing it). Zero — an entry put by
+	// hand — is accepted at any thread count.
+	Threads int
 	// Params carries the leader's kernel parameters (conversion knobs like
 	// the BCSR block shape or the HYB width cut, plus the batch register
 	// tile): cache hits convert and bind with the same parameters, so a

@@ -35,7 +35,8 @@ type Decision struct {
 
 	// Chosen is the format the returned operator serves (or, for a pending
 	// background conversion, will serve once the swap lands); Kernel the
-	// implementation name.
+	// implementation bound to it: the model's kernel for Chosen in the
+	// instance for the tuner's thread count (Tuner.kernelFor).
 	Chosen matrix.Format
 	Kernel string
 
@@ -153,9 +154,10 @@ type engine[T matrix.Float] struct {
 // mid-stream: every call loads the engine once and runs it to completion,
 // concurrent with but never torn by a swap.
 type Operator[T matrix.Float] struct {
-	eng  atomic.Pointer[engine[T]]
-	pool *kernels.Pool[T]
-	nnz  int
+	eng        atomic.Pointer[engine[T]]
+	pool       *kernels.Pool[T]
+	nnz        int
+	rows, cols int // fixed across engine swaps: a conversion keeps the shape
 
 	// convState tracks the background-conversion lifecycle (ConversionState
 	// values); convDone is closed by the worker once the swap — or its
@@ -170,7 +172,8 @@ type Operator[T matrix.Float] struct {
 //
 //smat:atomic-publish
 func newOperator[T matrix.Float](mat *kernels.Mat[T], k *kernels.Kernel[T], pool *kernels.Pool[T], nnz int) *Operator[T] {
-	op := &Operator[T]{pool: pool, nnz: nnz}
+	rows, cols := mat.Dims()
+	op := &Operator[T]{pool: pool, nnz: nnz, rows: rows, cols: cols}
 	op.eng.Store(&engine[T]{mat: mat, kernel: k})
 	return op
 }
@@ -179,13 +182,19 @@ func newOperator[T matrix.Float](mat *kernels.Mat[T], k *kernels.Kernel[T], pool
 // partition comes from the matrix's cached plan and parallel chunks run on
 // the tuner's persistent worker pool, so repeated calls allocate nothing.
 //
-// x and y must not share memory: every kernel clears y and then accumulates
-// reads of x, so an aliased pair would silently corrupt the product. MulVec
-// panics when the slices overlap (the error-returning entry point is
-// Tuner.CSRSpMV in the root package).
+// len(x) must equal the column count and len(y) the row count, and x and y
+// must not share memory: every kernel clears y and then accumulates reads of
+// x, so an aliased pair would silently corrupt the product. MulVec panics on
+// the caller's goroutine when either rule is broken — before any chunk
+// reaches a pool worker, where an out-of-range index could not be
+// recovered (the error-returning entry point is Tuner.CSRSpMV in the root
+// package).
 //
 //smat:hotpath
 func (o *Operator[T]) MulVec(x, y []T) {
+	if len(x) != o.cols || len(y) != o.rows {
+		vectorShapeMismatch(o.rows, o.cols, len(x), len(y))
+	}
 	checkOverlap(x, y)
 	e := o.eng.Load()
 	e.kernel.RunPooled(e.mat, x, y, o.pool)
@@ -219,12 +228,11 @@ func (o *Operator[T]) MulVecBatch(xb, yb []T, k int) {
 	if k == 0 {
 		return
 	}
-	e := o.eng.Load()
-	rows, cols := e.mat.Dims()
-	if len(xb) != cols*k || len(yb) != rows*k {
-		batchShapeMismatch(rows, cols, len(xb), len(yb), k)
+	if len(xb) != o.cols*k || len(yb) != o.rows*k {
+		batchShapeMismatch(o.rows, o.cols, len(xb), len(yb), k)
 	}
 	checkOverlap(xb, yb)
+	e := o.eng.Load()
 	if k == 1 {
 		// A width-1 interleaved batch is a plain vector: the tuned kernel
 		// computes it bit-for-bit, with no pack/unpack detour.
@@ -253,7 +261,7 @@ type batchScratch[T matrix.Float] struct {
 // mid-call neither races these buffers nor strands them: a superseded
 // engine's scratch is garbage-collected with the engine itself.
 func (o *Operator[T]) loopVectors(e *engine[T], xb, yb []T, k int) {
-	rows, cols := e.mat.Dims()
+	rows, cols := o.rows, o.cols
 	s := e.scratch.Swap(nil)
 	if s == nil {
 		s = &batchScratch[T]{x: make([]T, cols), y: make([]T, rows)}
@@ -297,6 +305,12 @@ func negativeBatchWidth(k int) {
 }
 
 //go:noinline
+func vectorShapeMismatch(rows, cols, lx, ly int) {
+	panic(fmt.Sprintf("autotune: MulVec on %dx%d matrix needs |x|=%d |y|=%d, got %d and %d",
+		rows, cols, cols, rows, lx, ly))
+}
+
+//go:noinline
 func batchShapeMismatch(rows, cols, lx, ly, k int) {
 	panic(fmt.Sprintf("autotune: MulVecBatch on %dx%d matrix with k=%d needs |xb|=%d |yb|=%d, got %d and %d",
 		rows, cols, k, cols*k, rows*k, lx, ly))
@@ -314,7 +328,7 @@ func (o *Operator[T]) KernelName() string { return o.eng.Load().kernel.Name }
 func (o *Operator[T]) NNZ() int { return o.nnz }
 
 // Dims returns the operator's dimensions.
-func (o *Operator[T]) Dims() (rows, cols int) { return o.eng.Load().mat.Dims() }
+func (o *Operator[T]) Dims() (rows, cols int) { return o.rows, o.cols }
 
 // Tuner is the runtime component: it holds a trained model and produces
 // tuned operators from CSR inputs. All methods are safe for concurrent use:
@@ -423,14 +437,33 @@ func (t *Tuner[T]) Stats() CacheStats {
 	return t.cache.Stats()
 }
 
-// kernelFor resolves the model's kernel choice for a format.
-func (t *Tuner[T]) kernelFor(f matrix.Format) *kernels.Kernel[T] {
+// modelKernel resolves the model's kernel choice for a format: the
+// algorithm, before the tuner's thread count picks its instance.
+func (t *Tuner[T]) modelKernel(f matrix.Format) *kernels.Kernel[T] {
 	if name, ok := t.model.Kernels[f.String()]; ok {
 		if k := t.lib.Lookup(name); k != nil {
 			return k
 		}
 	}
 	return t.lib.Basic(f)
+}
+
+// kernelFor resolves the kernel an operator of format f binds: the model's
+// algorithm in the instance for the tuner's thread count.
+func (t *Tuner[T]) kernelFor(f matrix.Format) *kernels.Kernel[T] {
+	return t.instance(t.modelKernel(f))
+}
+
+// instance picks the execution instance of an algorithm for the tuner's
+// thread count. A model searched at one thread names serial kernels; a
+// tuner with more threads binds their parallel instance (Library.Parallel),
+// which runs the identical serial body below the plan's work cutoff and the
+// same per-row arithmetic above it, so results do not depend on the choice.
+func (t *Tuner[T]) instance(k *kernels.Kernel[T]) *kernels.Kernel[T] {
+	if t.threads > 1 {
+		return t.lib.Parallel(k)
+	}
+	return k
 }
 
 // paramsFor resolves the model's searched parameters for a format: the zero
@@ -513,7 +546,7 @@ func (t *Tuner[T]) TuneOpts(m *matrix.CSR[T], opts TuneOptions) (*Operator[T], *
 
 	key := d.Features.Key()
 	var leaderOp *Operator[T]
-	entry, fromCache, err := t.cache.DoValidated(key, t.refreshBelow(), validForHint(opts), func() (CacheEntry, error) {
+	entry, fromCache, err := t.cache.DoValidated(key, t.refreshBelow(), t.validEntry(opts), func() (CacheEntry, error) {
 		op, err := t.decide(m, d)
 		if err != nil {
 			return CacheEntry{}, err
@@ -525,9 +558,12 @@ func (t *Tuner[T]) TuneOpts(m *matrix.CSR[T], opts TuneOptions) (*Operator[T], *
 		}
 		// The entry records the asymptotic decision plus the leader's payoff
 		// measurements; amortisation against a hint is recomputed per hit.
+		// It names the model's kernel, not this tuner's instance of it, and
+		// the thread count its measurements belong to (validEntry).
 		return CacheEntry{
 			Format:         d.Chosen,
-			Kernel:         d.Kernel,
+			Kernel:         t.modelKernel(d.Chosen).Name,
+			Threads:        t.threads,
 			Confidence:     conf,
 			Measured:       d.UsedFallback,
 			Params:         d.Params,
@@ -596,14 +632,15 @@ func (t *Tuner[T]) apply(m *matrix.CSR[T], d *Decision, entry CacheEntry) (*Oper
 	return op, nil
 }
 
-// cachedKernel resolves a cache entry's kernel, falling back to the model's
-// choice when the cached name is unknown or belongs to another format.
+// cachedKernel resolves a cache entry's kernel in the instance for the
+// tuner's thread count, falling back to the model's choice when the cached
+// name is unknown or belongs to another format.
 func (t *Tuner[T]) cachedKernel(entry CacheEntry) *kernels.Kernel[T] {
 	k := t.lib.Lookup(entry.Kernel)
 	if k == nil || k.Format != entry.Format {
-		k = t.kernelFor(entry.Format)
+		return t.kernelFor(entry.Format)
 	}
-	return k
+	return t.instance(k)
 }
 
 // refreshBelow is the confidence bar under which a cached, un-measured

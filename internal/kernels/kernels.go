@@ -494,6 +494,30 @@ func (l *Library[T]) BatchFor(f matrix.Format) *BatchKernel[T] {
 	return basic
 }
 
+// Parallel returns the parallel instance of k: the kernel of the same
+// format with the same Params and Strategies == k.Strategies|StratParallel —
+// the same algorithm, fanned out over the plan's chunks. COO also accepts
+// |StratNNZBalance, because its parallel partition is always by entry. A
+// kernel that is already parallel, or has no such instance registered (the
+// column-major DIA/ELL kernels), is returned as is. Below the plan's serial
+// cutoff every parallel instance runs the identical serial body, so binding
+// it changes only how large matrices are executed, never their result.
+func (l *Library[T]) Parallel(k *Kernel[T]) *Kernel[T] {
+	if k == nil || k.Strategies&StratParallel != 0 {
+		return k
+	}
+	want := k.Strategies | StratParallel
+	for _, c := range l.byFormat[k.Format] {
+		if c.Params != k.Params {
+			continue
+		}
+		if c.Strategies == want || (k.Format == matrix.FormatCOO && c.Strategies == want|StratNNZBalance) {
+			return c
+		}
+	}
+	return k
+}
+
 // BatchForParams returns the batched kernel for a format at the requested
 // register-tile width (Params.BatchTile), falling back to BatchFor's default
 // when the width is zero or no instance at that width is registered. Like

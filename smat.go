@@ -217,8 +217,11 @@ func WithConfidenceThreshold(th float64) Option {
 }
 
 // WithCacheFrom shares other's decision cache with the new tuner, so a
-// fleet of tuners (for example one per element type, or a measuring tuner
-// refreshing a non-measuring one) amortises tuning runs jointly. It
+// fleet of tuners (for example a measuring tuner refreshing a
+// non-measuring one) amortises tuning runs jointly. A cached decision
+// carries payoff measurements taken on its leader's kernel instances, so it
+// is reused only by tuners with the leader's thread count; a tuner with
+// another thread count re-tunes the matrix and replaces the entry. It
 // overrides WithCacheSize; if other has caching disabled, so does the new
 // tuner.
 func WithCacheFrom[T Float](other *Tuner[T]) Option {
@@ -613,7 +616,9 @@ type Decision struct {
 	CacheHit bool
 	// Chosen is the final storage format the operator uses (or, while a
 	// background conversion is pending, will use once the swap lands); Kernel
-	// the name of the implementation bound to it.
+	// the name of the implementation bound to it: the model's kernel for
+	// that format, or its parallel instance when the tuner has more than one
+	// thread.
 	Chosen Format
 	Kernel string
 	// Params records the tunable parameters behind the operator: the
